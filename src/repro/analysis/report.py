@@ -26,7 +26,7 @@ from repro.analysis.experiments import (
 from repro.analysis.paper import PAPER_TABLE1, PAPER_TABLE2
 from repro.analysis.tables import render_table
 
-__all__ = ["ReportSection", "build_report", "generate_report"]
+__all__ = ["Report", "ReportSection", "build_report", "generate_report"]
 
 
 @dataclass
@@ -128,7 +128,7 @@ def generate_report(
     return text
 
 
-def main(argv: list[str] | None = None) -> None:  # pragma: no cover - CLI shim
+def _main(argv: list[str] | None = None) -> None:  # pragma: no cover - CLI shim
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--datasets", nargs="+", default=["mnist"],
@@ -143,4 +143,4 @@ def main(argv: list[str] | None = None) -> None:  # pragma: no cover - CLI shim
 
 
 if __name__ == "__main__":  # pragma: no cover
-    main()
+    _main()

@@ -40,6 +40,7 @@ __all__ = [
     "scheme_operation_counts",
     "TDSNNCostModel",
     "network_fanout",
+    "paper_vgg16_cifar100_neurons",
 ]
 
 

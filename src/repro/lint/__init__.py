@@ -12,7 +12,6 @@ for the rule catalogue, suppression syntax, and third-party rule
 registration.
 """
 
-from repro.lint.baseline import load_baseline, split_new, write_baseline
 from repro.lint.engine import iter_python_files, lint_file, lint_paths, lint_text
 from repro.lint.model import FileContext, Finding
 from repro.lint.registry import (
@@ -40,7 +39,4 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "iter_python_files",
-    "load_baseline",
-    "write_baseline",
-    "split_new",
 ]

@@ -1,25 +1,21 @@
 """Command line for ``python -m repro.lint``.
 
 Exit codes: 0 — clean (or advisory mode, which always reports but never
-fails); 1 — ``--strict`` and at least one non-baselined finding; 2 —
-usage error (bad path, unknown rule id, malformed baseline).
+fails); 1 — ``--strict`` and at least one finding; 2 — usage error (bad
+path, unknown rule id).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
-from pathlib import Path
 
-from repro.lint.baseline import load_baseline, split_new, write_baseline
 from repro.lint.engine import lint_paths
 from repro.lint.registry import make_rules, rule_descriptions
 
 __all__ = ["main", "build_parser"]
 
 _DEFAULT_PATHS = ["src", "tests"]
-_DEFAULT_BASELINE = "lint-baseline.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,22 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--strict",
         action="store_true",
-        help="exit 1 on findings not covered by the baseline",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=_DEFAULT_BASELINE,
-        help=f"baseline file (default: {_DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline file; every finding counts as new",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="accept current findings: rewrite the baseline file and exit 0",
+        help="exit 1 on any finding",
     )
     parser.add_argument(
         "--select",
@@ -90,30 +71,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.write_baseline:
-        write_baseline(args.baseline, findings)
-        print(
-            f"wrote {args.baseline}: {len(findings)} finding(s) across "
-            f"{len({f.path for f in findings})} file(s)"
-        )
-        return 0
-
-    baseline: Counter | None = None
-    if not args.no_baseline and Path(args.baseline).is_file():
-        try:
-            baseline = load_baseline(args.baseline)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    new, known = split_new(findings, baseline)
-    for finding in new:
+    for finding in findings:
         print(finding.format())
-    if known:
-        print(f"({len(known)} baselined finding(s) suppressed)")
-    if new:
-        noun = "finding" if len(new) == 1 else "findings"
-        print(f"{len(new)} new {noun}")
+    if findings:
+        noun = "finding" if len(findings) == 1 else "findings"
+        print(f"{len(findings)} {noun}")
         if args.strict:
             return 1
     return 0

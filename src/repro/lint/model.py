@@ -1,10 +1,6 @@
 """Core data model of the linter: findings and per-file context.
 
-A :class:`Finding` is one rule violation at one source location.  Its
-``baseline_key`` deliberately excludes the line number: baselined
-findings must survive unrelated edits that shift code up or down, so the
-key is ``(rule, path, message)`` and the baseline stores a *count* per
-key (see :mod:`repro.lint.baseline`).
+A :class:`Finding` is one rule violation at one source location.
 
 A :class:`FileContext` is everything a rule may look at for one file:
 the parsed AST, the raw source, the comment map (for ``guarded-by``
@@ -39,11 +35,6 @@ class Finding:
     line: int
     col: int
     message: str
-
-    @property
-    def baseline_key(self) -> tuple[str, str, str]:
-        """Line-independent identity used for baseline matching."""
-        return (self.rule, self.path, self.message)
 
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"

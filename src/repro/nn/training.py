@@ -16,7 +16,7 @@ from repro.nn.network import Sequential
 from repro.nn.optim import Optimizer
 from repro.utils.rng import as_generator
 
-__all__ = ["TrainHistory", "Trainer", "accuracy"]
+__all__ = ["TrainHistory", "Trainer", "accuracy", "step_decay"]
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:

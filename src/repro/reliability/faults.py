@@ -14,10 +14,11 @@ chaos job) arm them with a :class:`FaultPlan`:
 ``flush.slow``            the service's flush sleeps ``delay_ms`` — a stalled
                           dispatch thread backing up the pending queue
 ``flush.hang``            the *execution* of a dispatched flush sleeps
-                          ``delay_ms`` — a hung worker the flush watchdog
-                          must detect, abandon and recover from (distinct
-                          from ``flush.slow``, which stalls the dispatch
-                          thread before any compute is committed)
+                          ``delay_ms`` (budgeted flushes only) — a hung
+                          worker the flush watchdog must detect, abandon
+                          and recover from (distinct from ``flush.slow``,
+                          which stalls the dispatch thread before any
+                          compute is committed)
 ``kernel.exception``      plan execution raises :class:`InjectedFault` — a
                           workload bug, rejected to callers, never retried
 ========================  ====================================================

@@ -1,12 +1,12 @@
 """Micro-batch dispatchers: in-process plans or a supervised worker pool.
 
-The service's dispatch thread executes flushed micro-batches.  Two modes
-(docs/DESIGN.md §11, §13):
+The service's one flush path executes each micro-batch, budgeted or not,
+in one of two modes (docs/DESIGN.md §11, §13):
 
 * **Serial** (the default): the micro-batch runs through a compiled
-  :class:`~repro.snn.plan.ExecutionPlan` in the dispatch thread itself —
-  zero IPC, arena reuse across flushes, the latency-optimal choice on
-  small boxes.
+  :class:`~repro.snn.plan.ExecutionPlan` in the flushing thread itself
+  (the dispatch thread, or a budgeted flush's runner thread) — zero IPC,
+  arena reuse across flushes, the latency-optimal choice on small boxes.
 * **Sharded** (``workers > 1``): flushes are split into shards and mapped
   over a *persistent* ``ProcessPoolExecutor`` that reuses
   :mod:`repro.snn.parallel`'s worker machinery (same pickled-payload
@@ -118,40 +118,29 @@ class ShardedDispatcher:
         """Pool rebuilds performed by the supervisor so far."""
         return self._supervisor.rebuilds
 
-    def run(self, x: np.ndarray) -> np.ndarray:
-        """Execute one micro-batch; returns the stacked score matrix.
+    def run(self, x: np.ndarray, budget_ms: float | None = None):
+        """Execute one micro-batch; returns ``(scores, exhausted)``.
 
         Shards are contiguous, so concatenating shard scores preserves the
         submission order (the same invariant ``merge_results`` relies on).
         A mid-flush worker crash is absorbed here — rebuild, re-dispatch,
         same scores; :class:`PoolUnavailable` escapes only when the
         supervisor's retry budget is spent.
+
+        With ``budget_ms`` set, each shard carries it in its payload and
+        runs as an anytime window in its worker (shards execute
+        concurrently, so the wall-clock budget applies to each, not to
+        their sum).  ``exhausted`` is True when *any* shard's window was
+        truncated by the budget — the flush's rows are then partial
+        answers (sealed early, never cached by the service).
         """
         shards = [
-            (None, x[start : start + self.shard_size], None)
-            for start in range(0, len(x), self.shard_size)
-        ]
-        results = self._supervisor.map(_run_shard, shards)
-        return np.concatenate([r.scores for r in results], axis=0)
-
-    def run_budgeted(self, x: np.ndarray, budget_ms: float):
-        """Execute one micro-batch under a per-shard compute budget.
-
-        Each shard carries ``budget_ms`` in its payload and runs as an
-        anytime window in its worker (shards execute concurrently, so the
-        wall-clock budget applies to each, not to their sum).  Returns
-        ``(scores, exhausted)`` where ``exhausted`` is True when *any*
-        shard's window was truncated by the budget — the flush's rows are
-        then partial answers (sealed early, never cached by the service).
-        """
-        shards = [
-            (None, x[start : start + self.shard_size], None, float(budget_ms))
+            (None, x[start : start + self.shard_size], None, budget_ms)
             for start in range(0, len(x), self.shard_size)
         ]
         results = self._supervisor.map(_run_shard, shards)
         scores = np.concatenate([r.scores for r in results], axis=0)
-        exhausted = any(getattr(r, "budget_exhausted", False) for r in results)
-        return scores, exhausted
+        return scores, any(getattr(r, "budget_exhausted", False) for r in results)
 
     def close(self, force: bool = False) -> None:
         """Shut down the supervised pool permanently.

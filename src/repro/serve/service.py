@@ -46,17 +46,20 @@ counters.
 
 Deadline enforcement end to end (docs/DESIGN.md §14): ``deadline_ms``
 bounds *queue* time (stale requests culled before compute);
-``budget_ms`` bounds *execution*.  A budgeted flush runs on a dedicated
-runner thread as an anytime window (the engine gets a fraction of the
-tightest member budget), while the dispatch thread doubles as a **flush
-watchdog**: a flush still executing past its full budget is abandoned —
-members settle with :class:`DeadlineExceeded` within one flush deadline,
-the abandoned runner is fenced off by a flush *epoch* (it can never
-touch shared state again), and plans/pool are force-rebuilt so the next
-flush starts clean.  Sustained overruns engage a degrade ladder that
-halves the compute window (graceful degradation — partial anytime
-answers, flagged ``ServedResult.partial`` and never cached) before
-admission control starts rejecting outright.
+``budget_ms`` bounds *execution*.  Every flush takes one path —
+``_flush`` stacks the micro-batch and ``_execute`` runs it — with the
+tightest member budget as its only parameter.  Unbudgeted flushes
+execute inline on the dispatch thread and never engage the watchdog.  A
+budgeted flush runs on a dedicated runner thread as an anytime window
+(the engine gets a fraction of the budget), while the dispatch thread
+doubles as a **flush watchdog**: a flush still executing past its full
+budget is abandoned — members settle with :class:`DeadlineExceeded`
+within one flush deadline, the abandoned runner is fenced off by a flush
+*epoch* (it can never touch shared state again), and plans/pool are
+force-rebuilt so the next flush starts clean.  Sustained overruns engage
+a degrade ladder that halves the compute window (graceful degradation —
+partial anytime answers, flagged ``ServedResult.partial`` and never
+cached) before admission control starts rejecting outright.
 """
 
 from __future__ import annotations
@@ -234,10 +237,10 @@ _MAX_DEGRADE_LEVEL = 8
 class _FlushAbandoned(Exception):
     """Internal: a zombie flush thread noticed the watchdog moved on.
 
-    Raised inside ``_execute_budgeted`` when the flush epoch advanced —
-    i.e. the watchdog already abandoned this flush, settled its members
-    and rebuilt the execution state.  The runner thread swallows it via
-    the ticket (whose ``try_finish`` is a no-op after abandonment).
+    Raised inside ``_execute`` when the flush epoch advanced — i.e. the
+    watchdog already abandoned this flush, settled its members and
+    rebuilt the execution state.  The runner thread swallows it via the
+    ticket (whose ``try_finish`` is a no-op after abandonment).
     """
 
 
@@ -258,6 +261,15 @@ class _FlushTicket:
         self._state = "pending"  # guarded-by: _lock
         self.result = None
         self.error: BaseException | None = None
+
+    def run(self, fn, *args) -> None:
+        """Runner-thread body: call ``fn(*args)``, claim with its outcome."""
+        try:
+            out = fn(*args)
+        except BaseException as exc:  # noqa: BLE001 - forwarded via the ticket
+            self.try_finish(None, exc)
+        else:
+            self.try_finish(out, None)
 
     def try_finish(self, result, error: BaseException | None) -> bool:
         with self._lock:
@@ -633,8 +645,20 @@ class InferenceService:
     def predict_many(
         self, x: np.ndarray, timeout: float | None = 30.0
     ) -> list[ServedResult]:
-        """Submit a batch of samples concurrently and gather the results."""
-        futures = [self.submit(sample) for sample in x]
+        """Submit a batch of samples concurrently and gather the results.
+
+        If admission fails partway (queue full, bad shape), the
+        already-admitted requests are cancelled — no orphaned compute —
+        and the error propagates.
+        """
+        futures: list[ServedFuture] = []
+        try:
+            for sample in x:
+                futures.append(self.submit(sample))
+        except BaseException:
+            for f in futures:
+                f.cancel()
+            raise
         return [f.result(timeout) for f in futures]
 
     # ------------------------------------------------------------------ #
@@ -692,17 +716,28 @@ class InferenceService:
         with self._stats_lock:
             self._stats.pool_rebuilds += 1
 
-    def _execute(self, key, xs: np.ndarray) -> np.ndarray:
-        """Run one stacked micro-batch; returns scores for the real rows.
+    def _execute(self, key, xs: np.ndarray, engine_ms: float | None, epoch: int):
+        """Run one stacked micro-batch; ``(scores, exhausted)`` for the real rows.
+
+        ``engine_ms=None`` runs the full window; otherwise the micro-batch
+        runs as an anytime window under that compute budget (on the
+        flush's runner thread) and ``exhausted`` reports whether the
+        budget truncated it.  The ``epoch`` snapshot detects abandonment:
+        if the watchdog gave up on this flush it already settled the
+        members and rebuilt the execution state, so a late-waking runner
+        (a *zombie*) must not touch the service's shared
+        plans/dispatcher/breaker — it raises :class:`_FlushAbandoned`.
 
         With ``workers > 1`` the parallel path is gated by the circuit
         breaker: a flush whose supervised pool retries are exhausted
         serves serially *this flush* and records a failure; once tripped,
         flushes go serial without paying spawn latency until the cooldown
         admits a half-open probe, whose success restores parallel service.
-        The old behaviour — one failure degrading the service to serial
-        permanently — is gone.
         """
+        if engine_ms is not None:
+            faults.check(faults.FLUSH_HANG)
+        if epoch != self._flush_epoch:
+            raise _FlushAbandoned()
         n = len(xs)
         if self._dispatcher is not None and self._dispatcher_key != key:
             # The model was reconfigured: workers hold plans for the old
@@ -712,8 +747,13 @@ class InferenceService:
         if self._workers > 1 and self._breaker.allow():
             try:
                 dispatcher = self._ensure_dispatcher(key)
-                scores = dispatcher.run(xs)
+                scores, exhausted = dispatcher.run(xs, engine_ms)
             except PoolUnavailable as exc:
+                if epoch != self._flush_epoch:
+                    # The watchdog force-closed our pool out from under us;
+                    # that is abandonment, not a pool failure — recording
+                    # it would charge the breaker for the watchdog's kill.
+                    raise _FlushAbandoned() from None
                 self._breaker.record_failure()
                 note_serial_fallback("repro.serve.InferenceService", exc)
                 with self._stats_lock:
@@ -723,10 +763,12 @@ class InferenceService:
                     self._dispatcher = None
             else:
                 self._breaker.record_success()
-                return scores
+                return scores, exhausted
         faults.check(faults.KERNEL_EXCEPTION)
         plan, xs = self._padded_plan(key, xs)
-        return plan.run(xs).scores[:n]
+        budget = None if engine_ms is None else Budget(ms=engine_ms)
+        result = plan.run(xs, budget=budget)
+        return result.scores[:n], getattr(result, "budget_exhausted", False)
 
     def _ensure_dispatcher(self, key) -> ShardedDispatcher:
         if self._dispatcher is None:
@@ -767,48 +809,6 @@ class InferenceService:
                 self._stats.padded_samples += capacity - n
             xs = padded
         return plan, xs
-
-    def _execute_budgeted(self, key, xs: np.ndarray, engine_ms: float, epoch: int):
-        """Run one micro-batch as an anytime window; ``(scores, exhausted)``.
-
-        Runs on a per-flush *runner* thread under the flush watchdog.  The
-        ``epoch`` snapshot detects abandonment: if the watchdog gave up on
-        this flush it already settled the members and rebuilt the
-        execution state, so a late-waking runner (a *zombie*) must not
-        touch the service's shared plans/dispatcher/breaker — it bails out
-        with :class:`_FlushAbandoned` instead.
-        """
-        faults.check(faults.FLUSH_HANG)
-        if epoch != self._flush_epoch:
-            raise _FlushAbandoned()
-        n = len(xs)
-        if self._dispatcher is not None and self._dispatcher_key != key:
-            self._dispatcher.close()
-            self._dispatcher = None
-        if self._workers > 1 and self._breaker.allow():
-            try:
-                dispatcher = self._ensure_dispatcher(key)
-                scores, exhausted = dispatcher.run_budgeted(xs, engine_ms)
-            except PoolUnavailable as exc:
-                if epoch != self._flush_epoch:
-                    # The watchdog force-closed our pool out from under us;
-                    # that is abandonment, not a pool failure — recording
-                    # it would charge the breaker for the watchdog's kill.
-                    raise _FlushAbandoned() from None
-                self._breaker.record_failure()
-                note_serial_fallback("repro.serve.InferenceService", exc)
-                with self._stats_lock:
-                    self._stats.serial_fallbacks += 1
-                if self._dispatcher is not None:
-                    self._dispatcher.close()
-                    self._dispatcher = None
-            else:
-                self._breaker.record_success()
-                return scores, exhausted
-        faults.check(faults.KERNEL_EXCEPTION)
-        plan, xs = self._padded_plan(key, xs)
-        result = plan.run(xs, budget=Budget(ms=engine_ms))
-        return result.scores[:n], result.budget_exhausted
 
     def _pop_followers(self, digest) -> list:
         if digest is None:
@@ -872,98 +872,68 @@ class InferenceService:
         return max(engine, _MIN_ENGINE_BUDGET_MS)
 
     def _flush(self, requests) -> None:
+        """Execute one micro-batch under its tightest member budget.
+
+        Unbudgeted flushes run ``_execute`` inline on the dispatch thread.
+        Budgeted ones run it on a dedicated runner thread with a
+        degrade-adjusted *fraction* of the budget, while the dispatch
+        thread doubles as the watchdog, joining the runner for the full
+        budget; a runner that overruns — a hung worker, a wedged pool —
+        is abandoned (:meth:`_recover_from_hang`).  Any other failure
+        rejects the coalesced followers and re-raises, so the batcher
+        rejects the primaries.
+        """
         faults.check(faults.SLOW_FLUSH)
         budget_ms = self._flush_budget_ms(requests)
-        if budget_ms is not None:
-            self._flush_budgeted(requests, budget_ms)
-            return
         try:
             key = self._coding_key()
             xs = np.stack([x for (x, _), _ in requests])
-            scores = self._execute(key, xs)
+            if budget_ms is None:
+                scores, exhausted = self._execute(key, xs, None, self._flush_epoch)
+            else:
+                ticket = _FlushTicket()
+                engine_ms = self._engine_budget_ms(budget_ms)
+                thread = threading.Thread(
+                    target=ticket.run,
+                    args=(self._execute, key, xs, engine_ms, self._flush_epoch),
+                    name="repro-serve-flush",
+                    daemon=True,
+                )
+                thread.start()
+                thread.join(budget_ms / 1000.0)
+                if ticket.try_abandon():
+                    self._recover_from_hang(requests, budget_ms)
+                    return
+                if ticket.error is not None:
+                    raise ticket.error
+                scores, exhausted = ticket.result
+                if self._degrade_level:
+                    # A clean budgeted flush walks the degrade ladder back up.
+                    self._degrade_level -= 1
+                    with self._stats_lock:
+                        self._stats.degrade_level = self._degrade_level
         except BaseException as exc:
             # The batcher rejects the primaries; followers coalesced onto
             # them must be rejected too, not left hanging.
             self._reject_followers(requests, exc)
             raise
-        self._settle_flush(requests, key, scores)
+        self._settle_flush(requests, key, scores, budget_ms, partial=exhausted)
 
-    def _flush_budgeted(self, requests, budget_ms: float) -> None:
-        """Execute one flush under the watchdog (see constructor docs).
-
-        The micro-batch runs on a dedicated runner thread with an engine
-        budget of a *fraction* of ``budget_ms`` (degrade-adjusted); the
-        dispatch thread doubles as the watchdog, joining the runner for
-        the full budget.  A runner that returns in time settles members
-        normally (partial results flagged, never cached).  A runner that
-        overruns — a hung worker, a wedged pool, an engine that cannot
-        honour its budget — is *abandoned*: the flush epoch advances (so
-        the zombie can never touch shared state again), the execution
-        state is force-rebuilt, the degrade ladder deepens, and every
-        member is settled with :class:`DeadlineExceeded` within one flush
-        deadline of dispatch.
-        """
-        key = self._coding_key()
-        xs = np.stack([x for (x, _), _ in requests])
-        engine_ms = self._engine_budget_ms(budget_ms)
-        epoch = self._flush_epoch
-        ticket = _FlushTicket()
-
-        def _runner():
-            try:
-                out = self._execute_budgeted(key, xs, engine_ms, epoch)
-            except BaseException as exc:  # noqa: BLE001 - forwarded via ticket
-                ticket.try_finish(None, exc)
-            else:
-                ticket.try_finish(out, None)
-
-        thread = threading.Thread(
-            target=_runner, name="repro-serve-flush", daemon=True
-        )
-        thread.start()
-        thread.join(budget_ms / 1000.0)
-        if ticket.try_abandon():
-            # Watchdog fired: the runner is hung past the flush deadline.
-            self._flush_epoch += 1  # fence the zombie out of shared state
-            self._recover_from_hang()
-            self._degrade_level = min(self._degrade_level + 1, _MAX_DEGRADE_LEVEL)
-            with self._stats_lock:
-                self._stats.watchdog_timeouts += 1
-                self._stats.degrade_level = self._degrade_level
-            exc = DeadlineExceeded(
-                f"flush watchdog abandoned a micro-batch still executing "
-                f"after its {budget_ms:.3f} ms budget; no partial result "
-                "was recoverable"
-            )
-            for (_, _digest), future in requests:
-                future._reject(exc)
-            self._reject_followers(requests, exc)
-            return
-        if isinstance(ticket.error, _FlushAbandoned):  # pragma: no cover
-            # Settled by a previous watchdog pass; nothing left to do.
-            return
-        if ticket.error is not None:
-            self._reject_followers(requests, ticket.error)
-            raise ticket.error
-        scores, exhausted = ticket.result
-        if self._degrade_level:
-            # A clean budgeted flush walks the degrade ladder back up.
-            self._degrade_level -= 1
-            with self._stats_lock:
-                self._stats.degrade_level = self._degrade_level
-        self._settle_flush(requests, key, scores, partial=exhausted)
-
-    def _recover_from_hang(self) -> None:
-        """Orphan every execution object a zombie flush might still touch.
+    def _recover_from_hang(self, requests, budget_ms: float) -> None:
+        """Abandon a flush whose runner is still executing past its budget.
 
         The abandoned runner cannot be interrupted — it may be deep inside
         a compiled plan or blocked on a wedged pool.  Instead of sharing
-        state with it, the service walks away: plans, the generation
+        state with it, the service walks away: the flush epoch advances
+        (fencing the zombie out of shared state), plans, the generation
         simulator and the dispatcher are dropped (the dispatcher's pool
         force-killed and its supervisor *closed*, so the zombie's next
         pool touch raises instead of respawning workers), and the next
-        flush rebuilds everything fresh under the new epoch.
+        flush rebuilds everything fresh under the new epoch.  The degrade
+        ladder deepens, and every member and follower is settled with
+        :class:`DeadlineExceeded` within one flush deadline of dispatch.
         """
+        self._flush_epoch += 1
         self._plans = {}
         self._gen_sim = None
         self._gen_key = None
@@ -971,11 +941,27 @@ class InferenceService:
         self._dispatcher_key = None
         if dispatcher is not None:
             dispatcher.close(force=True)
+        self._degrade_level = min(self._degrade_level + 1, _MAX_DEGRADE_LEVEL)
+        with self._stats_lock:
+            self._stats.watchdog_timeouts += 1
+            self._stats.degrade_level = self._degrade_level
+        exc = DeadlineExceeded(
+            f"flush watchdog abandoned a micro-batch still executing "
+            f"after its {budget_ms:.3f} ms budget; no partial result "
+            "was recoverable"
+        )
+        for _, future in requests:
+            future._reject(exc)
+        self._reject_followers(requests, exc)
 
     def _settle_flush(
-        self, requests, key, scores, partial: bool = False
+        self, requests, key, scores, budget_ms: float | None, partial: bool
     ) -> None:
-        """Resolve every member (and follower) of one executed flush."""
+        """Resolve every member (and follower) of one executed flush.
+
+        Budgeted flushes (``budget_ms`` set) also report each row's top-2
+        confidence margin.
+        """
         now = time.monotonic()
         n = len(requests)
         with self._stats_lock:
@@ -985,7 +971,7 @@ class InferenceService:
             if partial:
                 self._stats.partial_results += n
         margins = None
-        if self._flush_budget_ms(requests) is not None:
+        if budget_ms is not None:
             margins = confidence_margins(np.asarray(scores))
         for i, ((x, digest), future) in enumerate(requests):
             row = np.array(scores[i], copy=True)

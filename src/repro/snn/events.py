@@ -32,14 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from repro.nn.im2col import conv_output_size
 from repro.nn.layers import AvgPool2D, Conv2D, Dense, Flatten
-
-try:  # scipy ships with the toolchain; gate it so the engine degrades gracefully
-    from scipy import sparse as _scipy_sparse
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _scipy_sparse = None
 
 __all__ = [
     "SpikePacket",
@@ -66,8 +62,8 @@ class SpikePacket:
     ----------
     rows:
         Batch row of each event, **nondecreasing** (row-major order, as
-        produced by ``np.nonzero``).  The segment-reduce kernels rely on
-        this invariant.
+        produced by ``np.nonzero``).  The dense kernel's CSR row pointer
+        relies on this invariant.
     idx:
         Flat feature index of each event within ``shape`` (C-order).
         Duplicates within a row are legal (they arise from pooling remaps)
@@ -278,37 +274,18 @@ def ingest(
 # ---------------------------------------------------------------------------
 
 
-def _segment_scatter(
-    out_flat: np.ndarray, flat_pos: np.ndarray, payload: np.ndarray
-) -> None:
-    """``out_flat[flat_pos] += payload`` with duplicate positions accumulated.
-
-    ``flat_pos`` must be sorted (nondecreasing).  Uses a segment reduce,
-    which is substantially faster than ``np.ufunc.at`` for wide payloads.
-    """
-    if flat_pos.shape[0] == 0:
-        return
-    seg_starts = np.flatnonzero(np.diff(flat_pos)) + 1
-    seg_starts = np.concatenate((np.zeros(1, dtype=np.int64), seg_starts))
-    sums = np.add.reduceat(payload, seg_starts, axis=0)
-    out_flat[flat_pos[seg_starts]] += sums
-
-
 def _dense_apply_events(op: Dense, packet: SpikePacket) -> np.ndarray:
     """Sparse ``x @ W``: gather the weight rows the events touch."""
-    if packet.count and _scipy_sparse is not None:
+    if packet.count:
         indptr = np.zeros(packet.batch + 1, dtype=np.int64)
         np.cumsum(np.bincount(packet.rows, minlength=packet.batch), out=indptr[1:])
-        mat = _scipy_sparse.csr_matrix(
+        mat = sparse.csr_matrix(
             (packet.weights, packet.idx, indptr),
             shape=(packet.batch, op.in_features),
         )
         out = np.asarray(mat @ op.weight.data)
     else:
         out = np.zeros((packet.batch, op.out_features), dtype=packet.weights.dtype)
-        if packet.count:
-            payload = op.weight.data[packet.idx] * packet.weights[:, None]
-            _segment_scatter(out, packet.rows, payload)
     if op.bias is not None:
         out += op.bias.data
     return out
@@ -352,38 +329,28 @@ def _conv_event_pairs(
 def _conv2d_apply_events(op: Conv2D, packet: SpikePacket) -> np.ndarray:
     """Sparse convolution: scatter-add one weight patch per event.
 
-    With scipy available the scatter is a ``(F, C*KH*KW) @ sparse`` product
-    (compiled CSR matmul); otherwise a sorted segment-reduce.  Work scales
-    with ``events x KH*KW x F`` instead of the full im2col volume.
+    The scatter is a ``(F, C*KH*KW) @ sparse`` product (compiled CSR
+    matmul).  Work scales with ``events x KH*KW x F`` instead of the full
+    im2col volume.
     """
     c, h, w = packet.shape
     out_h = conv_output_size(h, op.kernel_h, op.stride, op.pad)
     out_w = conv_output_size(w, op.kernel_w, op.stride, op.pad)
     out_len = out_h * out_w
     f = op.out_channels
-    dtype = packet.weights.dtype
     w_mat = op.weight.data.reshape(f, -1)
     if packet.count == 0:
-        out = np.zeros((packet.batch, f, out_h, out_w), dtype=dtype)
+        out = np.zeros((packet.batch, f, out_h, out_w), dtype=packet.weights.dtype)
     else:
         krow, target, weights = _conv_event_pairs(op, packet, out_h, out_w)
-        if _scipy_sparse is not None:
-            cols = _scipy_sparse.coo_matrix(
-                (weights, (krow, target)),
-                shape=(w_mat.shape[1], packet.batch * out_len),
-            ).tocsr()
-            out = np.asarray(w_mat @ cols)  # (F, batch*L)
-            out = np.ascontiguousarray(
-                out.reshape(f, packet.batch, out_h, out_w).transpose(1, 0, 2, 3)
-            )
-        else:
-            flat = np.zeros((packet.batch * out_len, f), dtype=dtype)
-            order = np.argsort(target, kind="stable")
-            payload = w_mat.T[krow[order]] * weights[order, None]
-            _segment_scatter(flat, target[order], payload)
-            out = np.ascontiguousarray(
-                flat.reshape(packet.batch, out_len, f).transpose(0, 2, 1)
-            ).reshape(packet.batch, f, out_h, out_w)
+        cols = sparse.coo_matrix(
+            (weights, (krow, target)),
+            shape=(w_mat.shape[1], packet.batch * out_len),
+        ).tocsr()
+        out = np.asarray(w_mat @ cols)  # (F, batch*L)
+        out = np.ascontiguousarray(
+            out.reshape(f, packet.batch, out_h, out_w).transpose(1, 0, 2, 3)
+        )
     if op.bias is not None:
         out += op.bias.data.reshape(1, -1, 1, 1)
     return out

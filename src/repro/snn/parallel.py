@@ -166,12 +166,12 @@ def _run_shard(shard) -> SimulationResult:
     # injected kernel exception is a workload error and propagates verbatim.
     faults.check(faults.WORKER_CRASH)
     faults.check(faults.KERNEL_EXCEPTION)
-    # Shards are (scheme, x, y) or (scheme, x, y, budget_ms): the serving
-    # dispatcher's budgeted flushes ride the fourth slot (docs/DESIGN.md
-    # §14) — the wall-clock countdown starts in the worker, bounding the
-    # execution itself rather than the queue time.
-    scheme, xb, yb, *rest = shard
-    budget = Budget(ms=float(rest[0])) if rest and rest[0] is not None else None
+    # Shards are (scheme, x, y, budget_ms); the serving dispatcher's
+    # budgeted flushes fill the budget (docs/DESIGN.md §14) — the
+    # wall-clock countdown starts in the worker, bounding the execution
+    # itself rather than the queue time.
+    scheme, xb, yb, budget_ms = shard
+    budget = None if budget_ms is None else Budget(ms=budget_ms)
     compiled, plan_batch, calibrate = _WORKER_COMPILED
     if scheme is None:
         if compiled:
@@ -295,7 +295,7 @@ def run_parallel(
         xb = x[start : start + batch_size]
         yb = y[start : start + batch_size] if y is not None else None
         shard_scheme = sim.scheme.shard_instance(index) if stochastic else None
-        shards.append((shard_scheme, xb, yb))
+        shards.append((shard_scheme, xb, yb, None))
         sizes.append(len(xb))
 
     if start_method is None:

@@ -1,8 +1,6 @@
-"""Engine-level tests: registry, suppressions, baseline, CLI exit codes."""
+"""Engine-level tests: registry, suppressions, CLI exit codes."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -11,11 +9,8 @@ from repro.lint import (
     RULE_FACTORIES,
     available_rules,
     lint_text,
-    load_baseline,
     make_rules,
     register_rule,
-    split_new,
-    write_baseline,
 )
 from repro.lint.cli import main
 
@@ -146,45 +141,6 @@ class TestSuppressions:
         assert "syntax error" in findings[0].message
 
 
-def _finding(message: str, line: int = 1) -> Finding:
-    return Finding(
-        rule="RPL006", path="src/repro/x.py", line=line, col=0, message=message
-    )
-
-
-class TestBaseline:
-    def test_roundtrip_and_budget(self, tmp_path):
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(baseline_file, [_finding("a"), _finding("a"), _finding("b")])
-        baseline = load_baseline(baseline_file)
-        # Same key on a DIFFERENT line still matches: keys are line-free.
-        findings = [
-            _finding("a", line=10),
-            _finding("a", line=20),
-            _finding("a", line=30),  # third 'a' exceeds the count budget
-            _finding("c"),  # no entry at all
-        ]
-        new, known = split_new(findings, baseline)
-        assert [f.message for f in known] == ["a", "a"]
-        assert [f.message for f in new] == ["a", "c"]
-
-    def test_empty_baseline_marks_everything_new(self):
-        new, known = split_new([_finding("a")], None)
-        assert len(new) == 1 and known == []
-
-    def test_malformed_json_rejected(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text("{not json")
-        with pytest.raises(ValueError, match="not valid JSON"):
-            load_baseline(bad)
-
-    def test_malformed_entry_rejected(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text(json.dumps({"version": 1, "findings": [{"rule": "R"}]}))
-        with pytest.raises(ValueError, match="malformed baseline entry"):
-            load_baseline(bad)
-
-
 @pytest.fixture()
 def dirty_tree(tmp_path):
     """A lintable tree containing exactly one RPL002 violation."""
@@ -196,44 +152,19 @@ def dirty_tree(tmp_path):
 
 class TestCli:
     def test_advisory_mode_reports_but_exits_zero(self, dirty_tree, capsys):
-        rc = main([str(dirty_tree / "src"), "--no-baseline"])
+        rc = main([str(dirty_tree / "src")])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "RPL002" in out and "new finding" in out
+        assert "RPL002" in out and "1 finding" in out
 
     def test_strict_fails_on_new_finding(self, dirty_tree):
-        assert main([str(dirty_tree / "src"), "--no-baseline", "--strict"]) == 1
+        assert main([str(dirty_tree / "src"), "--strict"]) == 1
 
     def test_strict_passes_on_clean_tree(self, tmp_path):
         pkg = tmp_path / "src" / "repro" / "snn"
         pkg.mkdir(parents=True)
         (pkg / "clean.py").write_text("VALUE = 1\n")
-        assert main([str(tmp_path / "src"), "--no-baseline", "--strict"]) == 0
-
-    def test_write_baseline_then_strict_passes(self, dirty_tree):
-        baseline = dirty_tree / "baseline.json"
-        assert (
-            main(
-                [
-                    str(dirty_tree / "src"),
-                    "--baseline",
-                    str(baseline),
-                    "--write-baseline",
-                ]
-            )
-            == 0
-        )
-        assert (
-            main(
-                [
-                    str(dirty_tree / "src"),
-                    "--baseline",
-                    str(baseline),
-                    "--strict",
-                ]
-            )
-            == 0
-        )
+        assert main([str(tmp_path / "src"), "--strict"]) == 0
 
     def test_missing_path_is_usage_error(self, tmp_path):
         assert main([str(tmp_path / "nope.txt")]) == 2
@@ -241,17 +172,8 @@ class TestCli:
     def test_unknown_rule_is_usage_error(self, dirty_tree):
         assert main([str(dirty_tree / "src"), "--select", "RPL999"]) == 2
 
-    def test_corrupt_baseline_is_usage_error(self, dirty_tree):
-        baseline = dirty_tree / "baseline.json"
-        baseline.write_text("{not json")
-        assert (
-            main([str(dirty_tree / "src"), "--baseline", str(baseline)]) == 2
-        )
-
     def test_select_restricts_rules(self, dirty_tree, capsys):
-        rc = main(
-            [str(dirty_tree / "src"), "--no-baseline", "--select", "RPL001"]
-        )
+        rc = main([str(dirty_tree / "src"), "--select", "RPL001"])
         out = capsys.readouterr().out
         assert rc == 0 and "RPL002" not in out
 

@@ -77,8 +77,9 @@ class TestWorkerCrashParity:
 
 
 class TestBreakerTripAndRecovery:
+    @pytest.mark.parametrize("budget_ms", [None, 5000.0])
     def test_trip_to_serial_then_half_open_probe_restores_parallel(
-        self, tiny_network, tiny_data
+        self, tiny_network, tiny_data, budget_ms
     ):
         x = tiny_data[2][:6]
         breaker = CircuitBreaker(failure_threshold=1, reset_after_s=0.05)
@@ -89,6 +90,7 @@ class TestBreakerTripAndRecovery:
             workers=2,
             breaker=breaker,
             retry=RetryPolicy(max_retries=1, backoff_s=0.001),
+            budget_ms=budget_ms,
         ) as svc:
             ref = Simulator(tiny_network, TTFSCoding(window=12)).run(x)
             # Every spawn attempt fails: retries exhaust, the flush serves

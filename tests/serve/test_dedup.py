@@ -104,13 +104,18 @@ class TestDeduplication:
         )
         assert r1.prediction == int(ef_ref.predictions[0])
 
-    def test_flush_failure_rejects_followers(self, tiny_network, tiny_data):
+    @pytest.mark.parametrize("budget_ms", [None, 5000.0])
+    def test_flush_failure_rejects_followers(
+        self, tiny_network, tiny_data, budget_ms
+    ):
+        """Inline (unbudgeted) and watchdog-run (budgeted) flushes share
+        one error path."""
         x = tiny_data[2][0]
-        service = _service(tiny_network)
+        service = _service(tiny_network, budget_ms=budget_ms)
         try:
             boom = RuntimeError("engine exploded")
 
-            def failing_execute(key, xs):
+            def failing_execute(key, xs, engine_ms, epoch):
                 raise boom
 
             service._execute = failing_execute

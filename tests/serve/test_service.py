@@ -237,6 +237,38 @@ class TestValidation:
             with pytest.raises(ValueError, match="shape"):
                 service.submit(np.zeros((3, 3)))
 
+    def test_failed_predict_many_cancels_admitted_samples(
+        self, tiny_network, tiny_data
+    ):
+        """Admission failing at sample k cancels samples 0..k-1: no compute
+        is spent for a caller who already got the exception."""
+        service = InferenceService(
+            Simulator(tiny_network, TTFSCoding(window=12)),
+            capacities=(4,),
+            max_wait_ms=300.0,
+            cache_size=0,
+            calibrate=False,
+        )
+        admitted = []
+        submit = service.submit
+
+        def recording_submit(x):
+            future = submit(x)
+            admitted.append(future)
+            return future
+
+        service.submit = recording_submit
+        with service:
+            with pytest.raises(ValueError, match="shape"):
+                service.predict_many(
+                    [tiny_data[2][0], tiny_data[2][1], np.zeros((3, 3))]
+                )
+        stats = service.stats()
+        assert len(admitted) == 2
+        assert all(f.cancelled() for f in admitted)
+        assert stats.flushes == 0
+        assert stats.flushed_samples == 0
+
     def test_batch_dim_of_one_accepted(self, tiny_network, tiny_data):
         service = InferenceService(
             Simulator(tiny_network, TTFSCoding(window=12)),

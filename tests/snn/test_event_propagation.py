@@ -167,20 +167,6 @@ class TestSparseOps:
         assert isinstance(got, np.ndarray)
         np.testing.assert_allclose(got, op.infer(dense_in), rtol=1e-12)
 
-    def test_numpy_fallback_without_scipy(self, rng, monkeypatch):
-        """The pure-numpy segment-reduce kernels back up the scipy path."""
-        import repro.snn.events as events_mod
-
-        monkeypatch.setattr(events_mod, "_scipy_sparse", None)
-        conv = Conv2D(3, 5, 3, stride=1, pad=1, rng=rng)
-        dense_in = rng.random((2, 3, 8, 8)) * (rng.random((2, 3, 8, 8)) < 0.15)
-        got = apply_op_events(conv, SpikePacket.from_dense(dense_in))
-        np.testing.assert_allclose(got, conv.infer(dense_in), rtol=1e-10, atol=1e-12)
-        fc = Dense(20, 7, rng=rng)
-        dense_in = rng.random((3, 20)) * (rng.random((3, 20)) < 0.2)
-        got = apply_op_events(fc, SpikePacket.from_dense(dense_in))
-        np.testing.assert_allclose(got, fc.infer(dense_in), rtol=1e-10, atol=1e-12)
-
 
 class TestMergePackets:
     """The deferral-window merge runs in the packets' dtype, in the arena."""
